@@ -1,7 +1,8 @@
 package optsched
 
-// The benchmark harness: one benchmark per experiment in EXPERIMENTS.md
-// (regenerating the paper-shaped numbers under testing.B), plus
+// The benchmark harness: one benchmark per experiment of
+// internal/experiment (regenerating the paper-shaped tables that
+// schedbench prints, under testing.B), plus
 // micro-benchmarks of the protocol's building blocks. Run with
 //
 //	go test -bench=. -benchmem
@@ -183,7 +184,7 @@ func BenchmarkE8Concurrent(b *testing.B) {
 	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 4, IncludeUnscheduled: true}
 	factory := func() sched.Policy { return policy.NewDelta2() }
 	for i := 0; i < b.N; i++ {
-		res := verify.CheckWorkConservationConcurrent(context.Background(), factory, u)
+		res := verify.RunObligation(context.Background(), verify.ObWorkConservConc, factory, verify.Config{Universe: u})
 		if !res.Passed {
 			b.Fatal(res.Witness)
 		}
@@ -325,13 +326,12 @@ func BenchmarkVerifyFullReport(b *testing.B) {
 // BenchmarkVerifyParallel is the sharded-driver headline: the full
 // 8-obligation suite over a 4-core / 6-thread universe — a space the
 // single-goroutine-per-obligation driver could not afford as a default —
-// at increasing worker-pool sizes. "sequential" is Config.Sequential
-// (every shard on the calling goroutine); the parallel levels share one
-// pool across all obligations. Verdicts, counters and witnesses are
-// asserted identical across levels; only ns/op should move. On a
-// multi-core machine parallel=4 runs ≥ 2× faster than sequential; a
-// single-core machine (GOMAXPROCS=1) times-shares the workers and shows
-// parity instead.
+// at increasing worker-pool sizes, all sharing one pool across the
+// obligations (parallel=1 serializes every shard check). Verdicts,
+// counters and witnesses are asserted identical across levels; only
+// ns/op should move. On a multi-core machine parallel=4 runs ≥ 2×
+// faster than parallel=1; a single-core machine (GOMAXPROCS=1)
+// time-shares the workers and shows parity instead.
 func BenchmarkVerifyParallel(b *testing.B) {
 	u := statespace.Universe{Cores: 4, MaxPerCore: 3, MaxTotal: 6, IncludeUnscheduled: true}
 	factory := func() sched.Policy { return policy.NewDelta2() }
@@ -353,9 +353,6 @@ func BenchmarkVerifyParallel(b *testing.B) {
 			}
 		}
 	}
-	b.Run("sequential", func(b *testing.B) {
-		run(b, verify.Config{Sequential: true})
-	})
 	for _, par := range []int{1, 2, 4, 8} {
 		b.Run("parallel="+itoa(par), func(b *testing.B) {
 			run(b, verify.Config{Parallelism: par})

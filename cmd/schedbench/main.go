@@ -1,5 +1,5 @@
 // Command schedbench regenerates the paper-shaped outputs: the
-// EXPERIMENTS.md tables (default mode) and the open-loop service
+// internal/experiment tables E1–E10 (default mode) and the open-loop service
 // tail-latency sweeps (-workload service). Interrupting (Ctrl-C)
 // cancels the run wherever it is — mid-state-space for the verification
 // experiments, mid-event-loop for a sweep point — and exits non-zero.
@@ -73,7 +73,7 @@ func run() int {
 	return code
 }
 
-// runExperiments is the original mode: regenerate EXPERIMENTS.md tables.
+// runExperiments is the original mode: regenerate the internal/experiment tables.
 func runExperiments(ctx context.Context, only string) int {
 	runners := map[string]func(context.Context) experiment.Result{
 		"E1":  experiment.E1Lemma1,

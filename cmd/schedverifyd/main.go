@@ -40,8 +40,8 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/service"
-	"repro/internal/service/faultinject"
 )
 
 func main() {
@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	dataDir := fs.String("data-dir", "", "durable memo store directory (empty = in-memory only)")
 	compactEvery := fs.Int("compact-every", 0, "WAL records between snapshot compactions (0 = 256)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "in-flight job drain budget on SIGTERM before cancellation")
-	faultSpec := fs.String("faults", "", "hidden: fault-injection spec for chaos testing, e.g. 'wal-append:torn=5@2,checker:panic=lemma1' (see internal/service/faultinject)")
+	faultSpec := fs.String("faults", "", "hidden: fault-injection spec for chaos testing, e.g. 'wal-append:torn=5@2,checker:panic=lemma1' (see internal/faultinject)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -22,8 +22,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/sched"
-	"repro/internal/service/faultinject"
 )
 
 // Task is a unit of work.
@@ -41,6 +41,12 @@ type Pool struct {
 	wg      sync.WaitGroup
 	next    atomic.Uint64 // round-robin submission cursor
 	faults  *faultinject.Set
+
+	// member serializes membership changes (Kill, Revive) with rescue
+	// placement, so a placement never sees a transient all-offline
+	// snapshot and an adopter cannot go offline under it. Submits to
+	// online workers, pops and steals never take it.
+	member sync.Mutex
 
 	executed   atomic.Int64
 	steals     atomic.Int64
@@ -112,7 +118,11 @@ func (p *Pool) Submit(t Task) {
 }
 
 // SubmitTo enqueues a task on a specific worker — how the benchmarks
-// create the skewed placements the balancer must fix.
+// create the skewed placements the balancer must fix. A task submitted
+// to an offline worker is an orphan on arrival: it goes through the
+// policy's rescue rule like the worker's queue did at Kill, and stays
+// stranded until Revive only if the policy has no rescue rule or
+// declines it.
 func (p *Pool) SubmitTo(id int, t Task) {
 	if t == nil {
 		panic("engine: Submit(nil)")
@@ -124,9 +134,28 @@ func (p *Pool) SubmitTo(id int, t Task) {
 	p.inflt.Add(1)
 	p.wg.Add(1)
 	w.mu.Lock()
+	if w.offline.Load() {
+		w.mu.Unlock()
+		p.submitOffline(w, t)
+		return
+	}
 	w.queue = append(w.queue, t)
 	w.qlen.Store(int64(len(w.queue)))
 	w.mu.Unlock()
+}
+
+// submitOffline places a task submitted to a worker that was offline
+// when SubmitTo looked under its lock.
+func (p *Pool) submitOffline(w *worker, t Task) {
+	p.member.Lock()
+	defer p.member.Unlock()
+	if w.offline.Load() {
+		if rescuer, ok := w.policy.(sched.Rescuer); ok && w.place(t, rescuer) {
+			p.rescued.Add(1)
+			return
+		}
+	}
+	w.enqueue(t)
 }
 
 // Wait blocks until every submitted task has executed.
@@ -142,8 +171,10 @@ func (p *Pool) Kill(id int) error {
 	if id < 0 || id >= len(p.workers) {
 		return fmt.Errorf("engine: Kill(%d) of a %d-worker pool", id, len(p.workers))
 	}
+	p.member.Lock()
+	defer p.member.Unlock()
 	w := p.workers[id]
-	if !w.offline.CompareAndSwap(false, true) {
+	if w.offline.Load() {
 		return fmt.Errorf("engine: worker %d is already offline", id)
 	}
 	online := 0
@@ -152,10 +183,14 @@ func (p *Pool) Kill(id int) error {
 			online++
 		}
 	}
-	if online == 0 {
-		w.offline.Store(false)
+	if online == 1 {
 		return fmt.Errorf("engine: refusing to kill worker %d, the last online worker", id)
 	}
+	// Under w.mu, so SubmitTo either appends before the flag (and the
+	// drain below takes the task) or sees it and goes the rescue way.
+	w.mu.Lock()
+	w.offline.Store(true)
+	w.mu.Unlock()
 	p.kills.Add(1)
 	w.rehome()
 	return nil
@@ -167,6 +202,8 @@ func (p *Pool) Revive(id int) error {
 	if id < 0 || id >= len(p.workers) {
 		return fmt.Errorf("engine: Revive(%d) of a %d-worker pool", id, len(p.workers))
 	}
+	p.member.Lock()
+	defer p.member.Unlock()
 	if !p.workers[id].offline.CompareAndSwap(true, false) {
 		return fmt.Errorf("engine: worker %d is not offline", id)
 	}
@@ -179,7 +216,7 @@ func (p *Pool) Revive(id int) error {
 // it under the adopter's lock — never holding both, so it cannot
 // deadlock against concurrent steals. The first orphan the policy
 // declines (or a policy with no rescue rule at all) ends the drain and
-// strands the rest.
+// strands the rest. The caller holds w.pool.member.
 func (w *worker) rehome() {
 	rescuer, ok := w.policy.(sched.Rescuer)
 	if !ok {
@@ -207,35 +244,31 @@ func (w *worker) rehome() {
 }
 
 // place asks the rescue rule for one orphan's adopter and enqueues the
-// task there, re-selecting if the adopter was itself killed in between.
-// False means the policy declined or no online worker remains.
+// task there. False means the policy declined. The caller holds
+// w.pool.member, so the online set cannot change meanwhile, and Kill's
+// last-worker guard keeps it non-empty.
 func (w *worker) place(t Task, rescuer sched.Rescuer) bool {
-	for {
-		views := w.pool.snapshot()
-		var online []*sched.Core
-		for _, c := range views.Cores {
-			if !c.Offline {
-				online = append(online, c)
-			}
+	views := w.pool.snapshot()
+	var online []*sched.Core
+	for _, c := range views.Cores {
+		if !c.Offline {
+			online = append(online, c)
 		}
-		if len(online) == 0 {
-			return false
-		}
-		target := rescuer.RescueTarget(views.Cores[w.id], placeholderTask, online)
-		if target == nil {
-			return false
-		}
-		tw := w.pool.workers[target.ID]
-		tw.mu.Lock()
-		if tw.offline.Load() {
-			tw.mu.Unlock()
-			continue
-		}
-		tw.queue = append(tw.queue, t)
-		tw.qlen.Store(int64(len(tw.queue)))
-		tw.mu.Unlock()
-		return true
 	}
+	target := rescuer.RescueTarget(views.Cores[w.id], placeholderTask, online)
+	if target == nil {
+		return false
+	}
+	w.pool.workers[target.ID].enqueue(t)
+	return true
+}
+
+// enqueue appends t to the worker's queue.
+func (w *worker) enqueue(t Task) {
+	w.mu.Lock()
+	w.queue = append(w.queue, t)
+	w.qlen.Store(int64(len(w.queue)))
+	w.mu.Unlock()
 }
 
 // Close stops the workers after the queues drain. The pool cannot be
@@ -252,8 +285,9 @@ type Stats struct {
 	// attempts that failed re-validation.
 	Steals, StealFails int64
 	// Kills and Revives count applied fault events; Rescued counts
-	// orphans the rescue rule re-homed at kill time; Orphaned counts
-	// tasks currently stranded on offline workers.
+	// orphans the rescue rule re-homed, at kill time or on submission
+	// to an offline worker; Orphaned counts tasks currently stranded on
+	// offline workers.
 	Kills, Revives, Rescued, Orphaned int64
 }
 

@@ -1,13 +1,15 @@
 package engine
 
 import (
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/policy"
 	"repro/internal/sched"
-	"repro/internal/service/faultinject"
 )
 
 func delta2Factory() sched.Policy { return policy.NewDelta2() }
@@ -256,14 +258,17 @@ func rescueFactory() sched.Policy {
 func TestKillRescuesQueuedTasks(t *testing.T) {
 	p := NewPool(4, rescueFactory, Options{})
 	defer p.Close()
-	// Pin worker 0 on a gate task so its queue is guaranteed non-empty
-	// when the kill lands, then verify the rescue rule re-homed every
-	// queued task onto the survivors.
+	// Pin every worker on a gate task, so worker 0's queue is guaranteed
+	// non-empty when the kill lands and no idle worker steals from it
+	// first, then verify the rescue rule re-homed every queued task onto
+	// the survivors.
 	gate := make(chan struct{})
-	started := make(chan struct{})
 	var count atomic.Int64
-	p.SubmitTo(0, func() { close(started); <-gate })
-	<-started
+	for w := 0; w < 4; w++ {
+		started := make(chan struct{})
+		p.SubmitTo(w, func() { close(started); <-gate })
+		<-started
+	}
 	const n = 40
 	for i := 0; i < n; i++ {
 		p.SubmitTo(0, func() { count.Add(1) })
@@ -326,6 +331,67 @@ func TestKillWithoutRescueStrandsUntilRevive(t *testing.T) {
 	}
 }
 
+// waitOrDump waits for p to drain, failing the test with every worker's
+// queue length and offline flag if it has not within d.
+func waitOrDump(t *testing.T, p *Pool, d time.Duration) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		p.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		var b strings.Builder
+		for _, w := range p.workers {
+			fmt.Fprintf(&b, " w%d{queue=%d offline=%v}", w.id, w.qlen.Load(), w.offline.Load())
+		}
+		t.Fatalf("pool not drained after %v: %+v;%s", d, p.Stats(), b.String())
+	}
+}
+
+func TestSubmitToOfflineWorkerIsRescued(t *testing.T) {
+	// A task submitted to a killed worker is an orphan on arrival: the
+	// rescue rule must re-home it, or Wait never returns.
+	p := NewPool(2, rescueFactory, Options{})
+	defer p.Close()
+	if err := p.Kill(0); err != nil {
+		t.Fatal(err)
+	}
+	var ran atomic.Bool
+	p.SubmitTo(0, func() { ran.Store(true) })
+	waitOrDump(t, p, 10*time.Second)
+	if !ran.Load() {
+		t.Fatal("task did not run")
+	}
+	if st := p.Stats(); st.Rescued != 1 || st.Orphaned != 0 {
+		t.Errorf("Rescued/Orphaned = %d/%d, want 1/0", st.Rescued, st.Orphaned)
+	}
+}
+
+func TestSubmitToOfflineWorkerWithoutRescueStrandsUntilRevive(t *testing.T) {
+	// With no rescue rule a submission to a killed worker waits on its
+	// queue, like the orphans Kill left there, until Revive.
+	p := NewPool(2, func() sched.Policy { return policy.NewNull() }, Options{})
+	defer p.Close()
+	if err := p.Kill(0); err != nil {
+		t.Fatal(err)
+	}
+	var ran atomic.Bool
+	p.SubmitTo(0, func() { ran.Store(true) })
+	if st := p.Stats(); st.Orphaned != 1 {
+		t.Errorf("Orphaned = %d while worker 0 is down, want 1", st.Orphaned)
+	}
+	if err := p.Revive(0); err != nil {
+		t.Fatal(err)
+	}
+	waitOrDump(t, p, 10*time.Second)
+	if !ran.Load() {
+		t.Fatal("task did not run after revival")
+	}
+}
+
 func TestKillReviveValidation(t *testing.T) {
 	p := NewPool(2, delta2Factory, Options{})
 	defer p.Close()
@@ -372,7 +438,7 @@ func TestChaosCoreKillDrainsUnderRescue(t *testing.T) {
 			time.Sleep(50 * time.Microsecond)
 		})
 	}
-	p.Wait()
+	waitOrDump(t, p, 10*time.Second)
 	if got := count.Load(); got != n {
 		t.Fatalf("executed %d of %d under chaos kills", got, n)
 	}

@@ -1,4 +1,4 @@
-// Package experiment regenerates every experiment in EXPERIMENTS.md:
+// Package experiment holds the paper-shaped experiments E1–E10:
 // each E* function reproduces one of the paper's artifacts (listings,
 // figure, counterexample, motivation claims) and returns a formatted
 // table plus notes. cmd/schedbench prints them all; the root bench suite
@@ -102,7 +102,7 @@ func E1Lemma1(ctx context.Context) Result {
 	}
 	var failedCFS bool
 	for _, r := range rows {
-		res := verify.CheckLemma1(ctx, factoryOf(r.name), r.u)
+		res := verify.RunObligation(ctx, verify.ObLemma1, factoryOf(r.name), verify.Config{Universe: r.u})
 		witness := res.Witness
 		if len(witness) > 60 {
 			witness = witness[:57] + "..."
@@ -141,7 +141,7 @@ func E2SequentialConvergence(ctx context.Context) Result {
 		for _, s := range shapes {
 			u := statespace.Universe{Cores: s.cores, MaxPerCore: s.maxPer,
 				MaxTotal: s.maxTotal, IncludeUnscheduled: true}
-			res := verify.CheckWorkConservationSequential(ctx, factoryOf(name), u, 0)
+			res := verify.RunObligation(ctx, verify.ObWorkConservSeq, factoryOf(name), verify.Config{Universe: u})
 			t.AddRow(name, fmt.Sprint(s.cores), fmt.Sprint(s.maxPer),
 				fmt.Sprint(res.StatesChecked), resultVerdict(res), fmt.Sprint(res.Bound))
 		}
@@ -162,7 +162,7 @@ func E3Counterexample(ctx context.Context) Result {
 	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 3}
 	var witness string
 	for _, name := range []string{"delta2", "greedy-buggy"} {
-		res := verify.CheckWorkConservationConcurrent(ctx, factoryOf(name), u)
+		res := verify.RunObligation(ctx, verify.ObWorkConservConc, factoryOf(name), verify.Config{Universe: u})
 		t.AddRow(name, fmt.Sprint(res.StatesChecked), fmt.Sprint(res.SchedulesChecked),
 			resultVerdict(res), fmt.Sprint(res.Bound))
 		if !res.Passed && !res.Aborted && witness == "" {
@@ -183,7 +183,7 @@ func E3Counterexample(ctx context.Context) Result {
 func E4Potential(ctx context.Context) Result {
 	t := metrics.NewTable("policy", "states", "verdict", "example machine", "d0", "bound", "observed steals")
 	for _, name := range []string{"delta2", "weighted", "greedy-buggy", "delta1-aggressive"} {
-		res := verify.CheckPotentialDecrease(ctx, factoryOf(name), defaultUniverse())
+		res := verify.RunObligation(ctx, verify.ObPotentialDecrease, factoryOf(name), verify.Config{Universe: defaultUniverse()})
 		// Observed steals to fixpoint on a canonical machine.
 		p := factoryOf(name)()
 		m := sched.MachineFromLoads(0, 6, 2, 0)
@@ -407,10 +407,10 @@ func localitySample(variant string) (intra, total int) {
 func E8Concurrent(ctx context.Context) Result {
 	t := metrics.NewTable("check", "policy", "result", "detail")
 	u := defaultUniverse()
-	res := verify.CheckFailureImpliesSuccess(ctx, factoryOf("delta2"), u)
+	res := verify.RunObligation(ctx, verify.ObFailureImpliesSucc, factoryOf("delta2"), verify.Config{Universe: u})
 	t.AddRow("failure implies success", "delta2", resultVerdict(res),
 		fmt.Sprintf("%d schedules", res.SchedulesChecked))
-	resC := verify.CheckWorkConservationConcurrent(ctx, factoryOf("delta2"), u)
+	resC := verify.RunObligation(ctx, verify.ObWorkConservConc, factoryOf("delta2"), verify.Config{Universe: u})
 	t.AddRow("concurrent WC", "delta2", resultVerdict(resC),
 		fmt.Sprintf("worst-N=%d over %d schedules", resC.Bound, resC.SchedulesChecked))
 	abl := verify.CheckRevalidationAblation(ctx, factoryOf("delta2"),

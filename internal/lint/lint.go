@@ -100,9 +100,10 @@ func ByName(name string) (*Analyzer, bool) {
 // DeterministicPackages lists the import paths (as path prefixes: a
 // listed path covers its subpackages) the determinism analyzer guards.
 // These are the packages whose outputs must be byte-identical run to
-// run — reports, canonical forms, histograms, simulation traces — plus
-// internal/service, whose legitimate wall-clock uses carry reviewed
-// //schedlint:allow annotations instead of being exempted wholesale.
+// run — reports, canonical forms, histograms, simulation traces, seeded
+// fault rules — plus internal/service, whose legitimate wall-clock uses
+// carry reviewed //schedlint:allow annotations instead of being exempted
+// wholesale.
 var DeterministicPackages = []string{
 	"repro/internal/verify",
 	"repro/internal/statespace",
@@ -111,6 +112,7 @@ var DeterministicPackages = []string{
 	"repro/internal/metrics",
 	"repro/internal/sim",
 	"repro/internal/service",
+	"repro/internal/faultinject",
 }
 
 // AtomicsPackages lists the import-path prefixes the atomicsdiscipline

@@ -7,8 +7,8 @@
 // Every policy implements sched.Policy; some additionally implement
 // sched.RoundObserver (group-statistics policies) or sched.TaskPicker
 // (weighted stealing). internal/verify checks each against the paper's
-// proof obligations — see EXPERIMENTS.md for which pass and which fail,
-// and with what witnesses.
+// proof obligations — `schedbench` (internal/experiment) prints which
+// pass and which fail, and with what witnesses.
 package policy
 
 import (

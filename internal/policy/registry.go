@@ -11,7 +11,7 @@ import (
 )
 
 // delta2RescueDSL is the committed source of delta2-rescue; the registry
-// factory compiles it directly, so name and source submissions are the
+// factory compiles its parse, so name and source submissions are the
 // same policy by construction.
 const delta2RescueDSL = `policy delta2_rescue {
     load   = self.ready.size + self.current.size
@@ -21,15 +21,16 @@ const delta2RescueDSL = `policy delta2_rescue {
     rescue = min_load
 }`
 
-// mustCompileDSL compiles registry-committed DSL source; the source is
-// code, not input, so failure is a programming error.
-func mustCompileDSL(src string) sched.Policy {
-	p, _, err := dsl.CompileSource(src)
+// delta2RescueAST is delta2RescueDSL parsed once at init: the
+// verifier calls factories per state, so the factory only compiles.
+// The source is code, not input, so failure is a programming error.
+var delta2RescueAST = func() *dsl.Policy {
+	ast, err := dsl.Parse(delta2RescueDSL)
 	if err != nil {
-		panic(fmt.Sprintf("policy: registry DSL does not compile: %v", err))
+		panic(fmt.Sprintf("policy: registry DSL does not parse: %v", err))
 	}
-	return p
-}
+	return ast
+}()
 
 // Factory constructs a fresh policy instance. Policies carrying per-round
 // caches (RoundObservers) are stateful, so every consumer that needs
@@ -262,7 +263,7 @@ func init() {
 	// degraded-wasted-cores), with plain delta2 as the REFUTE side.
 	Register(Spec{
 		Name:       "delta2-rescue",
-		Factory:    func() sched.Policy { return mustCompileDSL(delta2RescueDSL) },
+		Factory:    func() sched.Policy { return dsl.Compile(delta2RescueAST) },
 		Provenance: ProvenanceProved,
 		Doc:        "delta2 plus a min_load rescue rule: orphans of failed cores are re-homed",
 		DSL:        delta2RescueDSL,

@@ -15,7 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/service/faultinject"
+	"repro/internal/faultinject"
 	"repro/internal/verify"
 )
 

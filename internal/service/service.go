@@ -26,9 +26,9 @@ import (
 	"time"
 
 	"repro/internal/dsl"
+	"repro/internal/faultinject"
 	"repro/internal/policy"
 	"repro/internal/sched"
-	"repro/internal/service/faultinject"
 	"repro/internal/service/store"
 	"repro/internal/statespace"
 	"repro/internal/verify"

@@ -35,7 +35,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/service/faultinject"
+	"repro/internal/faultinject"
 	"repro/internal/verify"
 )
 

@@ -8,7 +8,7 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/service/faultinject"
+	"repro/internal/faultinject"
 	"repro/internal/verify"
 )
 

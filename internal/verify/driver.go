@@ -27,7 +27,7 @@ import (
 //     witness a sequential scan of the whole universe would have found
 //     first. Shards never cancel each other: each runs to its own first
 //     witness or to exhaustion, so the merged counters are equal at
-//     every parallelism level (including Sequential) at the price of a
+//     every parallelism level (including 1) at the price of a
 //     fuller sweep on refuted policies.
 
 // minShards keeps the partition real on small machines: even at
@@ -166,42 +166,37 @@ func mergeResults(id ObligationID, parts []Result) Result {
 // restricted to one obligation: the same shard partition, the same
 // deterministic merge, so the Result for an obligation is byte-for-byte
 // the entry PolicyContext would put in a full report. cfg.Obligations is
-// ignored; cfg.Sequential and cfg.Parallelism govern the shard fan-out
-// exactly as in PolicyContext. Panics on unknown obligations, like
-// PolicyContext.
+// ignored; cfg.Parallelism governs the shard fan-out exactly as in
+// PolicyContext. Panics on unknown obligations, like PolicyContext.
 func RunObligation(ctx context.Context, id ObligationID, f Factory, cfg Config) Result {
-	if !KnownObligation(id) {
-		panic(fmt.Sprintf("verify: unknown obligation %q", id))
-	}
-	u := cfg.Universe
-	if u.Cores == 0 {
-		u = DefaultUniverse()
-	}
-	total := shardTotal()
-	parts := make([]Result, total)
-	if cfg.Sequential {
-		for s := range parts {
-			parts[s] = shardCheck(ctx, id, f, u, cfg.MaxRounds, shard{s, total})
+	return check(ctx, []ObligationID{id}, f, cfg)[0]
+}
+
+// check is the one fan-out behind PolicyContext and RunObligation: all
+// (obligation, shard) tasks flattened onto one pool of cfg.Parallelism
+// workers, so a single expensive obligation saturates every worker once
+// the cheap ones drain, then each obligation's shards merged in order.
+func check(ctx context.Context, ids []ObligationID, f Factory, cfg Config) []Result {
+	for _, id := range ids {
+		if !KnownObligation(id) {
+			panic(fmt.Sprintf("verify: unknown obligation %q", id))
 		}
-		return mergeResults(id, parts)
 	}
+	u := cfg.universe()
 	workers := cfg.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	forEachTask(total, workers, func(s int) {
-		parts[s] = shardCheck(ctx, id, f, u, cfg.MaxRounds, shard{s, total})
+	total := shardTotal()
+	parts := make([]Result, len(ids)*total)
+	forEachTask(len(parts), workers, func(idx int) {
+		parts[idx] = shardCheck(ctx, ids[idx/total], f, u, cfg.MaxRounds, shard{idx % total, total})
 	})
-	return mergeResults(id, parts)
-}
-
-// runObligation runs one obligation's full shard fan-out on a pool of
-// GOMAXPROCS workers and merges. The standalone Check* entry points
-// route through here — so they call the factory concurrently; see
-// Factory — while the suite driver (PolicyContext) instead shares one
-// pool across all selected obligations.
-func runObligation(ctx context.Context, id ObligationID, f Factory, u statespace.Universe, maxRounds int) Result {
-	return RunObligation(ctx, id, f, Config{Universe: u, MaxRounds: maxRounds})
+	results := make([]Result, len(ids))
+	for i, id := range ids {
+		results[i] = mergeResults(id, parts[i*total:(i+1)*total])
+	}
+	return results
 }
 
 // forEachTask runs fn(i) for i in [0, n) with at most `workers`

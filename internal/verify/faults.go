@@ -21,16 +21,12 @@ import (
 // enumerated script, "recovered after the last event" over all scripts
 // covers recovery after *any* event.
 
-// CheckNoTaskLost checks that no task is ever lost to a core failure:
+// checkNoTaskLostShard checks that no task is ever lost to a core failure:
 // every task orphaned by a fail-stop event is back on an online core —
 // re-homed by the policy's rescue rule or recovered by the core's
 // scripted revival — within maxRounds rounds of the failure. A policy
 // with no rescue rule fails this on any script that fails a non-empty
 // core and never revives it.
-func CheckNoTaskLost(ctx context.Context, f Factory, u statespace.Universe, maxRounds int) Result {
-	return runObligation(ctx, ObNoTaskLost, f, u, maxRounds)
-}
-
 func checkNoTaskLostShard(ctx context.Context, f Factory, u statespace.Universe, maxRounds int, sh shard) Result {
 	if maxRounds <= 0 {
 		maxRounds = 1000
@@ -99,7 +95,7 @@ func checkNoTaskLostShard(ctx context.Context, f Factory, u statespace.Universe,
 	return res
 }
 
-// CheckDegradedWastedCores checks the wasted-cores invariant of §3.2
+// checkDegradedWastedCoresShard checks the wasted-cores invariant of §3.2
 // restated over a degraded machine's online cores: after the fault
 // script's last event, iterating sequential rounds restores
 // Machine.DegradedWorkConserved — no online core idle while an online
@@ -107,10 +103,6 @@ func checkNoTaskLostShard(ctx context.Context, f Factory, u statespace.Universe,
 // maxRounds rounds. Counting stranded orphans as waiting work is what
 // refutes rescue-less policies here: the survivors may balance perfectly
 // among themselves while an idle core ignores work it could adopt.
-func CheckDegradedWastedCores(ctx context.Context, f Factory, u statespace.Universe, maxRounds int) Result {
-	return runObligation(ctx, ObDegradedWastedCores, f, u, maxRounds)
-}
-
 func checkDegradedWastedCoresShard(ctx context.Context, f Factory, u statespace.Universe, maxRounds int, sh shard) Result {
 	if maxRounds <= 0 {
 		maxRounds = 1000

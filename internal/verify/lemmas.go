@@ -10,13 +10,12 @@ import (
 
 // Factory produces a fresh policy instance per check, isolating any
 // per-round caches (sched.RoundObserver state) between runs. Checks
-// fan out over universe shards on a worker pool — the standalone
-// Check* entry points included — so a factory must be safe for
-// concurrent calls; every registered and DSL-compiled factory is,
-// since each call constructs a fresh policy. A caller whose factory is
-// not concurrency-safe must go through Policy or PolicyContext with
-// Config.Sequential, which runs every shard on the calling goroutine
-// (and produces the identical report).
+// fan out over universe shards on a worker pool, so a factory must be
+// safe for concurrent calls; every registered and DSL-compiled factory
+// is, since each call constructs a fresh policy. A caller whose factory
+// is not concurrency-safe must go through Policy, or set
+// Config.Parallelism to 1, which serializes every shard check (and
+// produces the identical report).
 type Factory func() sched.Policy
 
 // beginRound refreshes a policy's cached round statistics when it
@@ -27,7 +26,7 @@ func beginRound(p sched.Policy, view *sched.Machine) {
 	}
 }
 
-// CheckLemma1 checks Listing 2 over every state of the universe and every
+// checkLemma1Shard checks Listing 2 over every state of the universe and every
 // idle thief:
 //
 //	(∃ overloaded core  ⇒  ∃ core the thief can steal from)  ∧
@@ -35,10 +34,6 @@ func beginRound(p sched.Policy, view *sched.Machine) {
 //
 // The paper proves this with Leon for the sequential setting; here it is
 // established by exhaustion up to the universe bound.
-func CheckLemma1(ctx context.Context, f Factory, u statespace.Universe) Result {
-	return runObligation(ctx, ObLemma1, f, u, 0)
-}
-
 func checkLemma1Shard(ctx context.Context, f Factory, u statespace.Universe, sh shard) Result {
 	res := Result{ID: ObLemma1, Passed: true}
 	sh.enumerate(u, func(rank int, m *sched.Machine) bool {
@@ -82,7 +77,7 @@ func checkLemma1Shard(ctx context.Context, f Factory, u statespace.Universe, sh 
 	return res
 }
 
-// CheckStealSoundness checks the §4.2 obligations on the stealing phase,
+// checkStealSoundnessShard checks the §4.2 obligations on the stealing phase,
 // over every state and every (thief, stealee) pair admitted by the
 // filter:
 //
@@ -90,10 +85,6 @@ func checkLemma1Shard(ctx context.Context, f Factory, u statespace.Universe, sh 
 //     concurrent steal interferes);
 //   - the stealee does not end up idle ("does not steal too much");
 //   - the thread population and structural invariants are preserved.
-func CheckStealSoundness(ctx context.Context, f Factory, u statespace.Universe) Result {
-	return runObligation(ctx, ObStealSoundness, f, u, 0)
-}
-
 func checkStealSoundnessShard(ctx context.Context, f Factory, u statespace.Universe, sh shard) Result {
 	res := Result{ID: ObStealSoundness, Passed: true}
 	sh.enumerate(u, func(rank int, m *sched.Machine) bool {
@@ -147,14 +138,10 @@ func stealViolation(before, after *sched.Machine, att *sched.Attempt, ti, si int
 	return ""
 }
 
-// CheckPotentialDecrease checks the §4.3 bounded-successes obligation:
+// checkPotentialDecreaseShard checks the §4.3 bounded-successes obligation:
 // every steal the filter admits strictly decreases the pairwise imbalance
 // d, over every state and admitted pair. A policy failing this has
 // unbounded steal sequences available (the GreedyBuggy ping-pong).
-func CheckPotentialDecrease(ctx context.Context, f Factory, u statespace.Universe) Result {
-	return runObligation(ctx, ObPotentialDecrease, f, u, 0)
-}
-
 func checkPotentialDecreaseShard(ctx context.Context, f Factory, u statespace.Universe, sh shard) Result {
 	res := Result{ID: ObPotentialDecrease, Passed: true}
 	sh.enumerate(u, func(rank int, m *sched.Machine) bool {
@@ -191,17 +178,13 @@ func checkPotentialDecreaseShard(ctx context.Context, f Factory, u statespace.Un
 	return res
 }
 
-// CheckFailureImpliesSuccess checks the first §4.3 concurrency
+// checkFailureImpliesSuccessShard checks the first §4.3 concurrency
 // obligation: in every concurrent round, under every adversarial steal
 // order, every re-validation failure is explained by an earlier
 // successful steal involving the failed attempt's thief or victim. The
 // argument in the paper: only the stealing phase mutates runqueues, so a
 // filter that flipped between selection and steal must have been flipped
 // by a completed steal.
-func CheckFailureImpliesSuccess(ctx context.Context, f Factory, u statespace.Universe) Result {
-	return runObligation(ctx, ObFailureImpliesSucc, f, u, 0)
-}
-
 func checkFailureImpliesSuccessShard(ctx context.Context, f Factory, u statespace.Universe, sh shard) Result {
 	res := Result{ID: ObFailureImpliesSucc, Passed: true}
 	sh.enumerate(u, func(rank int, m *sched.Machine) bool {

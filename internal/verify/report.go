@@ -39,7 +39,21 @@ const (
 	ObPotentialDecrease  ObligationID = "potential-decrease"
 	ObFailureImpliesSucc ObligationID = "failure-implies-success"
 	ObWorkConservSeq     ObligationID = "work-conservation-sequential"
-	ObWorkConservConc    ObligationID = "work-conservation-concurrent"
+	// ObWorkConservConc checks the §3.2 definition in the full
+	// optimistic-concurrency setting of §4.3: from every state, under *every*
+	// adversarial serialization of every round's steals, conservation is
+	// reached within finitely many rounds. This is the obligation GreedyBuggy
+	// fails: on the 0/1/2 machine the adversary ping-pongs the spare thread
+	// between the two non-idle cores forever, and the explorer returns that
+	// cycle as the witness.
+	ObWorkConservConc ObligationID = "work-conservation-concurrent"
+	// ObChoiceIndependence checks the paper's central structural claim
+	// (§3.1): "the exact choice of the core does not matter for the
+	// correctness proof". The adversary controls the step-2 choice (any
+	// filter-passing candidate) *and* the steal order; a policy passes iff
+	// work conservation survives every combination. A policy whose proofs
+	// secretly rely on its Choose heuristic fails here even if it passes
+	// ObWorkConservConc.
 	ObChoiceIndependence ObligationID = "choice-independence"
 	ObReactivity         ObligationID = "reactivity"
 )

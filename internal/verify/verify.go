@@ -2,8 +2,6 @@ package verify
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 
 	"repro/internal/statespace"
 )
@@ -25,18 +23,12 @@ type Config struct {
 	// MaxRounds caps sequential convergence loops (safety valve for
 	// non-converging policies). Zero means 1000.
 	MaxRounds int
-	// Sequential forces the obligations (and their shards) to run one
-	// after another on the calling goroutine instead of on the worker
-	// pool — for deterministic profiling, debugging, and callers whose
-	// factories are not safe for concurrent calls. The universe is
-	// partitioned into exactly the same shards either way, so a
-	// Sequential run's verdicts, counters and witnesses are identical
-	// to every parallel run's.
-	Sequential bool
 	// Parallelism is the worker-pool size shared by all selected
 	// obligations: at most this many shard checks run concurrently.
-	// Zero means GOMAXPROCS. Ignored when Sequential is set. The level
-	// only changes wall-clock time, never results — see Sequential.
+	// Zero means GOMAXPROCS; 1 serializes the checks, so the factory is
+	// never called concurrently. The universe is partitioned into
+	// exactly the same shards at every level, so the level only changes
+	// wall-clock time, never verdicts, counters or witnesses.
 	Parallelism int
 }
 
@@ -75,11 +67,11 @@ func AllObligations() []ObligationID {
 // report. This is the library's analogue of running the paper's Leon
 // pipeline on a DSL policy.
 //
-// Obligations run sequentially on the calling goroutine, preserving this
-// entry point's original contract (f is never called concurrently); use
+// Policy is PolicyContext with Parallelism 1, preserving this entry
+// point's original contract (f is never called concurrently); use
 // PolicyContext for the parallel, cancellable variant.
 func Policy(name string, f Factory, cfg Config) *Report {
-	cfg.Sequential = true
+	cfg.Parallelism = 1
 	rep, _ := PolicyContext(context.Background(), name, f, cfg)
 	return rep
 }
@@ -90,69 +82,40 @@ func Policy(name string, f Factory, cfg Config) *Report {
 // (obligation, shard) tasks drain through one worker pool of
 // cfg.Parallelism goroutines — so a single expensive obligation
 // saturates every worker instead of hogging one goroutine while the
-// other seven finish early. Because shard checks run concurrently, f
-// must be safe for concurrent calls; every registered and DSL-compiled
-// factory is, since each call constructs a fresh policy.
+// other seven finish early. Unless cfg.Parallelism is 1, shard checks
+// run concurrently and f must be safe for concurrent calls; every
+// registered and DSL-compiled factory is, since each call constructs a
+// fresh policy.
 //
 // The parallelism level never changes the report: the shard partition is
 // fixed per machine, every shard runs to its own first witness or to
 // exhaustion, and merging keeps the witness a sequential whole-universe
 // scan would find first. Verdicts, counters and witnesses are
-// byte-identical from Sequential through any Parallelism.
+// byte-identical at every Parallelism.
 //
 // On cancellation the returned report is partial — obligations cut short
 // are marked failed with an "aborted" witness — and the returned error
 // is ctx.Err(). A nil error means every selected obligation ran to
 // completion (even if ctx was cancelled just after the suite finished).
 func PolicyContext(ctx context.Context, name string, f Factory, cfg Config) (*Report, error) {
-	u := cfg.Universe
-	if u.Cores == 0 {
-		u = DefaultUniverse()
-	}
 	obligations := cfg.Obligations
 	if obligations == nil {
 		obligations = AllObligations()
 	}
-	for _, id := range obligations {
-		if !KnownObligation(id) {
-			panic(fmt.Sprintf("verify: unknown obligation %q", id))
-		}
-	}
 	rep := &Report{
 		Policy:   name,
-		Universe: u.String(),
-	}
-	rep.Results = make([]Result, len(obligations))
-	total := shardTotal()
-	if cfg.Sequential {
-		for i, id := range obligations {
-			parts := make([]Result, total)
-			for s := range parts {
-				parts[s] = shardCheck(ctx, id, f, u, cfg.MaxRounds, shard{s, total})
-			}
-			rep.Results[i] = mergeResults(id, parts)
-		}
-		return rep, rep.abortErr(ctx)
-	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// The shared pool: all (obligation, shard) tasks flattened onto one
-	// bounded worker set, so a single expensive obligation saturates
-	// every worker once the cheap ones drain.
-	parts := make([][]Result, len(obligations))
-	for i := range obligations {
-		parts[i] = make([]Result, total)
-	}
-	forEachTask(len(obligations)*total, workers, func(idx int) {
-		i, s := idx/total, idx%total
-		parts[i][s] = shardCheck(ctx, obligations[i], f, u, cfg.MaxRounds, shard{s, total})
-	})
-	for i, id := range obligations {
-		rep.Results[i] = mergeResults(id, parts[i])
+		Universe: cfg.universe().String(),
+		Results:  check(ctx, obligations, f, cfg),
 	}
 	return rep, rep.abortErr(ctx)
+}
+
+// universe is cfg.Universe, or DefaultUniverse when it is zero.
+func (cfg Config) universe() statespace.Universe {
+	if cfg.Universe.Cores == 0 {
+		return DefaultUniverse()
+	}
+	return cfg.Universe
 }
 
 // abortErr returns ctx's error iff cancellation actually cut an

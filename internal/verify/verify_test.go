@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,7 +24,7 @@ func smallUniverse() statespace.Universe {
 }
 
 func TestLemma1Delta2(t *testing.T) {
-	r := CheckLemma1(context.Background(), delta2Factory, smallUniverse())
+	r := RunObligation(context.Background(), ObLemma1, delta2Factory, Config{Universe: smallUniverse()})
 	if !r.Passed {
 		t.Fatalf("Lemma 1 failed for Delta2: %s", r.Witness)
 	}
@@ -35,7 +36,7 @@ func TestLemma1Delta2(t *testing.T) {
 func TestLemma1Weighted(t *testing.T) {
 	u := statespace.Universe{Cores: 3, MaxPerCore: 2, MaxTotal: 4,
 		Weights: []int64{1, 3}, IncludeUnscheduled: true}
-	r := CheckLemma1(context.Background(), weightedFactory, u)
+	r := RunObligation(context.Background(), ObLemma1, weightedFactory, Config{Universe: u})
 	if !r.Passed {
 		t.Fatalf("Lemma 1 failed for Weighted: %s", r.Witness)
 	}
@@ -44,7 +45,7 @@ func TestLemma1Weighted(t *testing.T) {
 func TestLemma1GreedyHoldsSequentially(t *testing.T) {
 	// The §4.3 point: the buggy greedy filter is fine by the sequential
 	// lemma — only concurrency breaks it.
-	r := CheckLemma1(context.Background(), greedyFactory, smallUniverse())
+	r := RunObligation(context.Background(), ObLemma1, greedyFactory, Config{Universe: smallUniverse()})
 	if !r.Passed {
 		t.Fatalf("Lemma 1 should hold for GreedyBuggy: %s", r.Witness)
 	}
@@ -60,7 +61,7 @@ func TestLemma1CatchesBadFilter(t *testing.T) {
 			FilterFn:   func(_, s *sched.Core) bool { return s.NThreads() >= 1 },
 		}
 	}
-	r := CheckLemma1(context.Background(), f, smallUniverse())
+	r := RunObligation(context.Background(), ObLemma1, f, Config{Universe: smallUniverse()})
 	if r.Passed {
 		t.Fatal("steal-anything filter passed Lemma 1")
 	}
@@ -71,7 +72,7 @@ func TestLemma1CatchesBadFilter(t *testing.T) {
 
 func TestLemma1CatchesTimidFilter(t *testing.T) {
 	// A filter that never steals fails the exists direction.
-	r := CheckLemma1(context.Background(), func() sched.Policy { return policy.NewNull() }, smallUniverse())
+	r := RunObligation(context.Background(), ObLemma1, func() sched.Policy { return policy.NewNull() }, Config{Universe: smallUniverse()})
 	if r.Passed {
 		t.Fatal("null policy passed Lemma 1")
 	}
@@ -81,7 +82,7 @@ func TestLemma1CatchesTimidFilter(t *testing.T) {
 }
 
 func TestStealSoundnessDelta2(t *testing.T) {
-	r := CheckStealSoundness(context.Background(), delta2Factory, smallUniverse())
+	r := RunObligation(context.Background(), ObStealSoundness, delta2Factory, Config{Universe: smallUniverse()})
 	if !r.Passed {
 		t.Fatalf("steal soundness failed for Delta2: %s", r.Witness)
 	}
@@ -89,7 +90,7 @@ func TestStealSoundnessDelta2(t *testing.T) {
 
 func TestStealSoundnessWeighted(t *testing.T) {
 	u := statespace.Universe{Cores: 2, MaxPerCore: 3, Weights: []int64{1, 2, 5}, IncludeUnscheduled: true}
-	r := CheckStealSoundness(context.Background(), weightedFactory, u)
+	r := RunObligation(context.Background(), ObStealSoundness, weightedFactory, Config{Universe: u})
 	if !r.Passed {
 		t.Fatalf("steal soundness failed for Weighted: %s", r.Witness)
 	}
@@ -97,8 +98,8 @@ func TestStealSoundnessWeighted(t *testing.T) {
 
 func TestStealSoundnessCatchesDraining(t *testing.T) {
 	// Delta1Aggressive can steal a core's only (queued) thread.
-	r := CheckStealSoundness(context.Background(), func() sched.Policy { return policy.NewDelta1Aggressive() },
-		statespace.Universe{Cores: 2, MaxPerCore: 2, IncludeUnscheduled: true})
+	r := RunObligation(context.Background(), ObStealSoundness, func() sched.Policy { return policy.NewDelta1Aggressive() },
+		Config{Universe: statespace.Universe{Cores: 2, MaxPerCore: 2, IncludeUnscheduled: true}})
 	if r.Passed {
 		t.Fatal("Delta1Aggressive passed steal soundness")
 	}
@@ -108,7 +109,7 @@ func TestStealSoundnessCatchesDraining(t *testing.T) {
 }
 
 func TestPotentialDecreaseDelta2(t *testing.T) {
-	r := CheckPotentialDecrease(context.Background(), delta2Factory, smallUniverse())
+	r := RunObligation(context.Background(), ObPotentialDecrease, delta2Factory, Config{Universe: smallUniverse()})
 	if !r.Passed {
 		t.Fatalf("potential decrease failed for Delta2: %s", r.Witness)
 	}
@@ -117,14 +118,14 @@ func TestPotentialDecreaseDelta2(t *testing.T) {
 func TestPotentialDecreaseWeighted(t *testing.T) {
 	u := statespace.Universe{Cores: 3, MaxPerCore: 2, MaxTotal: 4,
 		Weights: []int64{1, 4}, IncludeUnscheduled: true}
-	r := CheckPotentialDecrease(context.Background(), weightedFactory, u)
+	r := RunObligation(context.Background(), ObPotentialDecrease, weightedFactory, Config{Universe: u})
 	if !r.Passed {
 		t.Fatalf("potential decrease failed for Weighted: %s", r.Witness)
 	}
 }
 
 func TestPotentialDecreaseFailsForGreedy(t *testing.T) {
-	r := CheckPotentialDecrease(context.Background(), greedyFactory, smallUniverse())
+	r := RunObligation(context.Background(), ObPotentialDecrease, greedyFactory, Config{Universe: smallUniverse()})
 	if r.Passed {
 		t.Fatal("GreedyBuggy passed the potential-decrease obligation")
 	}
@@ -134,7 +135,7 @@ func TestPotentialDecreaseFailsForGreedy(t *testing.T) {
 }
 
 func TestFailureImpliesSuccessDelta2(t *testing.T) {
-	r := CheckFailureImpliesSuccess(context.Background(), delta2Factory, smallUniverse())
+	r := RunObligation(context.Background(), ObFailureImpliesSucc, delta2Factory, Config{Universe: smallUniverse()})
 	if !r.Passed {
 		t.Fatalf("failure-implies-success failed for Delta2: %s", r.Witness)
 	}
@@ -147,14 +148,14 @@ func TestFailureImpliesSuccessGreedy(t *testing.T) {
 	// Even the buggy policy satisfies this obligation: its failures are
 	// always caused by successes — the problem is that successes are
 	// unbounded, which is the *other* obligation.
-	r := CheckFailureImpliesSuccess(context.Background(), greedyFactory, smallUniverse())
+	r := RunObligation(context.Background(), ObFailureImpliesSucc, greedyFactory, Config{Universe: smallUniverse()})
 	if !r.Passed {
 		t.Fatalf("failure-implies-success failed for GreedyBuggy: %s", r.Witness)
 	}
 }
 
 func TestWorkConservationSequentialDelta2(t *testing.T) {
-	r := CheckWorkConservationSequential(context.Background(), delta2Factory, smallUniverse(), 0)
+	r := RunObligation(context.Background(), ObWorkConservSeq, delta2Factory, Config{Universe: smallUniverse()})
 	if !r.Passed {
 		t.Fatalf("sequential WC failed for Delta2: %s", r.Witness)
 	}
@@ -165,15 +166,15 @@ func TestWorkConservationSequentialDelta2(t *testing.T) {
 
 func TestWorkConservationSequentialGreedy(t *testing.T) {
 	// §4.2 vs §4.3: greedy is work-conserving without concurrency.
-	r := CheckWorkConservationSequential(context.Background(), greedyFactory, smallUniverse(), 0)
+	r := RunObligation(context.Background(), ObWorkConservSeq, greedyFactory, Config{Universe: smallUniverse()})
 	if !r.Passed {
 		t.Fatalf("sequential WC failed for GreedyBuggy: %s", r.Witness)
 	}
 }
 
 func TestWorkConservationSequentialNullFails(t *testing.T) {
-	r := CheckWorkConservationSequential(context.Background(), func() sched.Policy { return policy.NewNull() },
-		smallUniverse(), 0)
+	r := RunObligation(context.Background(), ObWorkConservSeq, func() sched.Policy { return policy.NewNull() },
+		Config{Universe: smallUniverse()})
 	if r.Passed {
 		t.Fatal("null policy passed sequential WC")
 	}
@@ -183,7 +184,7 @@ func TestWorkConservationSequentialNullFails(t *testing.T) {
 }
 
 func TestWorkConservationConcurrentDelta2(t *testing.T) {
-	r := CheckWorkConservationConcurrent(context.Background(), delta2Factory, smallUniverse())
+	r := RunObligation(context.Background(), ObWorkConservConc, delta2Factory, Config{Universe: smallUniverse()})
 	if !r.Passed {
 		t.Fatalf("concurrent WC failed for Delta2: %s", r.Witness)
 	}
@@ -196,7 +197,7 @@ func TestWorkConservationConcurrentGreedyLivelock(t *testing.T) {
 	// The headline result: the explorer must automatically find the
 	// §4.3 ping-pong livelock for the greedy filter.
 	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 3}
-	r := CheckWorkConservationConcurrent(context.Background(), greedyFactory, u)
+	r := RunObligation(context.Background(), ObWorkConservConc, greedyFactory, Config{Universe: u})
 	if r.Passed {
 		t.Fatal("GreedyBuggy passed concurrent WC — livelock not found")
 	}
@@ -209,7 +210,7 @@ func TestWorkConservationConcurrentGreedyLivelock(t *testing.T) {
 func TestWorkConservationConcurrentHierarchical(t *testing.T) {
 	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 4,
 		IncludeUnscheduled: true, Groups: []int{0, 0, 1}}
-	r := CheckWorkConservationConcurrent(context.Background(), func() sched.Policy { return policy.NewHierarchical() }, u)
+	r := RunObligation(context.Background(), ObWorkConservConc, func() sched.Policy { return policy.NewHierarchical() }, Config{Universe: u})
 	if !r.Passed {
 		t.Fatalf("concurrent WC failed for Hierarchical: %s", r.Witness)
 	}
@@ -220,7 +221,7 @@ func TestCFSGroupBuggyFailsLemma1(t *testing.T) {
 	// groups and a heavy thread, an idle thief has no candidate.
 	u := statespace.Universe{Cores: 4, MaxPerCore: 2, MaxTotal: 5,
 		Weights: []int64{1, 8}, Groups: []int{0, 0, 1, 1}}
-	r := CheckLemma1(context.Background(), func() sched.Policy { return policy.NewCFSGroupBuggy() }, u)
+	r := RunObligation(context.Background(), ObLemma1, func() sched.Policy { return policy.NewCFSGroupBuggy() }, Config{Universe: u})
 	if r.Passed {
 		t.Fatal("CFSGroupBuggy passed Lemma 1")
 	}
@@ -233,7 +234,7 @@ func TestCFSGroupBuggyFailsLemma1(t *testing.T) {
 func TestHierarchicalPassesLemma1WithGroups(t *testing.T) {
 	u := statespace.Universe{Cores: 4, MaxPerCore: 2, MaxTotal: 4,
 		Groups: []int{0, 0, 1, 1}, IncludeUnscheduled: true}
-	r := CheckLemma1(context.Background(), func() sched.Policy { return policy.NewHierarchical() }, u)
+	r := RunObligation(context.Background(), ObLemma1, func() sched.Policy { return policy.NewHierarchical() }, Config{Universe: u})
 	if !r.Passed {
 		t.Fatalf("Lemma 1 failed for Hierarchical: %s", r.Witness)
 	}
@@ -307,13 +308,13 @@ func TestChoiceIndependenceDelta2(t *testing.T) {
 	// conservation when the filter is sound. The adversary picks both
 	// the victims and the steal order.
 	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 4, IncludeUnscheduled: true}
-	r := CheckChoiceIndependence(context.Background(), delta2Factory, u)
+	r := RunObligation(context.Background(), ObChoiceIndependence, delta2Factory, Config{Universe: u})
 	if !r.Passed {
 		t.Fatalf("choice independence failed for Delta2: %s", r.Witness)
 	}
 	// The choice adversary explores strictly more schedules than the
 	// order-only adversary.
-	r2 := CheckWorkConservationConcurrent(context.Background(), delta2Factory, u)
+	r2 := RunObligation(context.Background(), ObWorkConservConc, delta2Factory, Config{Universe: u})
 	if r.SchedulesChecked <= r2.SchedulesChecked {
 		t.Errorf("choice adversary explored %d schedules, order adversary %d",
 			r.SchedulesChecked, r2.SchedulesChecked)
@@ -322,7 +323,7 @@ func TestChoiceIndependenceDelta2(t *testing.T) {
 
 func TestChoiceIndependenceGreedyFails(t *testing.T) {
 	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 3}
-	r := CheckChoiceIndependence(context.Background(), greedyFactory, u)
+	r := RunObligation(context.Background(), ObChoiceIndependence, greedyFactory, Config{Universe: u})
 	if r.Passed {
 		t.Fatal("greedy passed choice independence")
 	}
@@ -334,7 +335,7 @@ func TestChoiceIndependenceGreedyFails(t *testing.T) {
 func TestChoiceIndependenceHierarchical(t *testing.T) {
 	u := statespace.Universe{Cores: 3, MaxPerCore: 2, MaxTotal: 4,
 		IncludeUnscheduled: true, Groups: []int{0, 0, 1}}
-	r := CheckChoiceIndependence(context.Background(), func() sched.Policy { return policy.NewHierarchical() }, u)
+	r := RunObligation(context.Background(), ObChoiceIndependence, func() sched.Policy { return policy.NewHierarchical() }, Config{Universe: u})
 	if !r.Passed {
 		t.Fatalf("choice independence failed for Hierarchical: %s", r.Witness)
 	}
@@ -345,7 +346,7 @@ func TestReactivityDelta2(t *testing.T) {
 	// before an idle core gets work. For Delta2 the bound exists and is
 	// small over the bounded universe.
 	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 4, IncludeUnscheduled: true}
-	r := CheckReactivity(context.Background(), delta2Factory, u)
+	r := RunObligation(context.Background(), ObReactivity, delta2Factory, Config{Universe: u})
 	if !r.Passed {
 		t.Fatalf("reactivity failed for Delta2: %s", r.Witness)
 	}
@@ -357,7 +358,7 @@ func TestReactivityDelta2(t *testing.T) {
 
 func TestReactivityGreedyStarves(t *testing.T) {
 	u := statespace.Universe{Cores: 3, MaxPerCore: 3, MaxTotal: 3}
-	r := CheckReactivity(context.Background(), greedyFactory, u)
+	r := RunObligation(context.Background(), ObReactivity, greedyFactory, Config{Universe: u})
 	if r.Passed {
 		t.Fatal("greedy passed reactivity despite the starvation cycle")
 	}
@@ -367,8 +368,8 @@ func TestReactivityGreedyStarves(t *testing.T) {
 }
 
 func TestReactivityNullFails(t *testing.T) {
-	r := CheckReactivity(context.Background(), func() sched.Policy { return policy.NewNull() },
-		statespace.Universe{Cores: 2, MaxPerCore: 2})
+	r := RunObligation(context.Background(), ObReactivity, func() sched.Policy { return policy.NewNull() },
+		Config{Universe: statespace.Universe{Cores: 2, MaxPerCore: 2}})
 	if r.Passed {
 		t.Fatal("null policy passed reactivity")
 	}
@@ -388,8 +389,8 @@ func TestRevalidationAblation(t *testing.T) {
 }
 
 func TestShardedDeterminismAcrossParallelism(t *testing.T) {
-	// The sharded driver's contract: Sequential and every parallel level
-	// produce byte-identical reports — same verdicts, same counters,
+	// The sharded driver's contract: every parallelism level produces
+	// byte-identical reports — same verdicts, same counters,
 	// same witnesses — for proved and refuted policies alike.
 	for _, tc := range []struct {
 		name string
@@ -399,27 +400,61 @@ func TestShardedDeterminismAcrossParallelism(t *testing.T) {
 		{"greedy-buggy", greedyFactory},
 	} {
 		base, err := PolicyContext(context.Background(), tc.name, tc.f,
-			Config{Universe: smallUniverse(), Sequential: true})
+			Config{Universe: smallUniverse(), Parallelism: 1})
 		if err != nil {
-			t.Fatalf("%s sequential: %v", tc.name, err)
+			t.Fatalf("%s parallel=1: %v", tc.name, err)
 		}
-		for _, par := range []int{1, 2, 4, 8} {
+		for _, par := range []int{2, 4, 8} {
 			rep, err := PolicyContext(context.Background(), tc.name, tc.f,
 				Config{Universe: smallUniverse(), Parallelism: par})
 			if err != nil {
 				t.Fatalf("%s parallel=%d: %v", tc.name, par, err)
 			}
 			if !reflect.DeepEqual(rep.Results, base.Results) {
-				t.Errorf("%s parallel=%d: results diverged from sequential:\n%s\nvs\n%s",
+				t.Errorf("%s parallel=%d: results diverged from parallel=1:\n%s\nvs\n%s",
 					tc.name, par, rep, base)
 			}
 			for i := range rep.Results {
 				if rep.Results[i].Witness != base.Results[i].Witness {
-					t.Errorf("%s parallel=%d %s: witness %q != sequential %q",
+					t.Errorf("%s parallel=%d %s: witness %q != parallel=1 %q",
 						tc.name, par, rep.Results[i].ID, rep.Results[i].Witness, base.Results[i].Witness)
 				}
 			}
 		}
+	}
+}
+
+// inFlightFactory wraps f so that it counts calls in flight and records
+// the most it ever saw at once; the yield widens the window in which a
+// concurrent caller would overlap.
+func inFlightFactory(f Factory, maxInFlight *atomic.Int64) Factory {
+	var inFlight atomic.Int64
+	return func() sched.Policy {
+		n := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for {
+			prev := maxInFlight.Load()
+			if n <= prev || maxInFlight.CompareAndSwap(prev, n) {
+				break
+			}
+		}
+		runtime.Gosched()
+		return f()
+	}
+}
+
+func TestPolicyNeverCallsFactoryConcurrently(t *testing.T) {
+	// Policy's contract: the factory is never called concurrently, so a
+	// caller may pass one that is not safe for concurrent use. The full
+	// suite calls it thousands of times across every shard.
+	var maxInFlight atomic.Int64
+	rep := Policy("delta2", inFlightFactory(delta2Factory, &maxInFlight),
+		Config{Universe: smallUniverse(), Parallelism: 4})
+	if !rep.Passed() {
+		t.Fatalf("delta2 refuted:\n%s", rep)
+	}
+	if got := maxInFlight.Load(); got != 1 {
+		t.Errorf("Policy called the factory %d times concurrently, want 1 at a time", got)
 	}
 }
 
@@ -439,7 +474,7 @@ func faultUniverse() statespace.Universe {
 }
 
 func TestNoTaskLostRefutesRescueless(t *testing.T) {
-	r := CheckNoTaskLost(context.Background(), delta2Factory, faultUniverse(), 0)
+	r := RunObligation(context.Background(), ObNoTaskLost, delta2Factory, Config{Universe: faultUniverse()})
 	if r.Passed {
 		t.Fatal("delta2 (no rescue rule) passed no-task-lost under faults")
 	}
@@ -449,29 +484,29 @@ func TestNoTaskLostRefutesRescueless(t *testing.T) {
 }
 
 func TestNoTaskLostProvesRescue(t *testing.T) {
-	r := CheckNoTaskLost(context.Background(), rescueFactory, faultUniverse(), 0)
+	r := RunObligation(context.Background(), ObNoTaskLost, rescueFactory, Config{Universe: faultUniverse()})
 	if !r.Passed {
 		t.Fatalf("delta2-rescue failed no-task-lost: %s", r.Witness)
 	}
 }
 
 func TestDegradedWastedCoresRefutesRescueless(t *testing.T) {
-	r := CheckDegradedWastedCores(context.Background(), delta2Factory, faultUniverse(), 0)
+	r := RunObligation(context.Background(), ObDegradedWastedCores, delta2Factory, Config{Universe: faultUniverse()})
 	if r.Passed {
 		t.Fatal("delta2 (no rescue rule) passed degraded-wasted-cores under faults")
 	}
 }
 
 func TestDegradedWastedCoresProvesRescue(t *testing.T) {
-	r := CheckDegradedWastedCores(context.Background(), rescueFactory, faultUniverse(), 0)
+	r := RunObligation(context.Background(), ObDegradedWastedCores, rescueFactory, Config{Universe: faultUniverse()})
 	if !r.Passed {
 		t.Fatalf("delta2-rescue failed degraded-wasted-cores: %s", r.Witness)
 	}
 }
 
 func TestShardedDeterminismAcrossParallelismWithFaults(t *testing.T) {
-	// The PR 2 determinism contract extended to the fault dimension:
-	// sequential and every parallel level must produce byte-identical
+	// The determinism contract extended to the fault dimension: every
+	// parallelism level must produce byte-identical
 	// reports over a fault-extended universe, for the proved
 	// (delta2-rescue) and refuted (delta2, stranded orphans) sides alike.
 	for _, tc := range []struct {
@@ -482,18 +517,18 @@ func TestShardedDeterminismAcrossParallelismWithFaults(t *testing.T) {
 		{"delta2-rescue", rescueFactory},
 	} {
 		base, err := PolicyContext(context.Background(), tc.name, tc.f,
-			Config{Universe: faultUniverse(), Sequential: true})
+			Config{Universe: faultUniverse(), Parallelism: 1})
 		if err != nil {
-			t.Fatalf("%s sequential: %v", tc.name, err)
+			t.Fatalf("%s parallel=1: %v", tc.name, err)
 		}
-		for _, par := range []int{1, 2, 4, 8} {
+		for _, par := range []int{2, 4, 8} {
 			rep, err := PolicyContext(context.Background(), tc.name, tc.f,
 				Config{Universe: faultUniverse(), Parallelism: par})
 			if err != nil {
 				t.Fatalf("%s parallel=%d: %v", tc.name, par, err)
 			}
 			if !reflect.DeepEqual(rep.Results, base.Results) {
-				t.Errorf("%s parallel=%d: results diverged from sequential:\n%s\nvs\n%s",
+				t.Errorf("%s parallel=%d: results diverged from parallel=1:\n%s\nvs\n%s",
 					tc.name, par, rep, base)
 			}
 		}
@@ -504,10 +539,8 @@ func TestFaultObligationsVacuousOnHealthyUniverse(t *testing.T) {
 	// With MaxFaults 0 every state is healthy, so both fault obligations
 	// are vacuously proved even for rescue-less policies — the fault
 	// dimension is opt-in and cannot refute a legacy run.
-	for _, check := range []func(context.Context, Factory, statespace.Universe, int) Result{
-		CheckNoTaskLost, CheckDegradedWastedCores,
-	} {
-		r := check(context.Background(), delta2Factory, smallUniverse(), 0)
+	for _, id := range []ObligationID{ObNoTaskLost, ObDegradedWastedCores} {
+		r := RunObligation(context.Background(), id, delta2Factory, Config{Universe: smallUniverse()})
 		if !r.Passed {
 			t.Errorf("%s refuted on a healthy universe: %s", r.ID, r.Witness)
 		}
@@ -551,7 +584,7 @@ func TestShardedWitnessMatchesWholeUniverseScan(t *testing.T) {
 	if want == "" {
 		t.Fatal("brute force found no violation — fixture broken")
 	}
-	r := CheckPotentialDecrease(context.Background(), greedyFactory, u)
+	r := RunObligation(context.Background(), ObPotentialDecrease, greedyFactory, Config{Universe: u})
 	if r.Passed {
 		t.Fatal("GreedyBuggy passed potential decrease")
 	}
@@ -574,7 +607,7 @@ func TestFailureImpliesSuccessCancelsMidState(t *testing.T) {
 		}
 		return policy.NewDelta2()
 	}
-	r := CheckFailureImpliesSuccess(ctx, f, u)
+	r := RunObligation(ctx, ObFailureImpliesSucc, f, Config{Universe: u})
 	if !r.Aborted {
 		t.Fatalf("check not aborted: %+v", r)
 	}

@@ -9,17 +9,13 @@ import (
 	"repro/internal/statespace"
 )
 
-// CheckWorkConservationSequential checks the §3.2 definition in the §4.2
+// checkWorkConservationSequentialShard checks the §3.2 definition in the §4.2
 // sequential setting: from every state of the universe, iterating
 // sequential rounds reaches a work-conserved state within a finite number
 // of rounds. Because sequential rounds are deterministic, a repeated
 // non-conserved state is a livelock and a moveless non-conserved round is
 // a stuck violation. The result's Bound is the worst-case N observed —
 // the existential witness of the paper's definition.
-func CheckWorkConservationSequential(ctx context.Context, f Factory, u statespace.Universe, maxRounds int) Result {
-	return runObligation(ctx, ObWorkConservSeq, f, u, maxRounds)
-}
-
 func checkWorkConservationSequentialShard(ctx context.Context, f Factory, u statespace.Universe, maxRounds int, sh shard) Result {
 	if maxRounds <= 0 {
 		maxRounds = 1000
@@ -261,18 +257,7 @@ func checkGameShard(ctx context.Context, id ObligationID, f Factory, u statespac
 	return res
 }
 
-// CheckWorkConservationConcurrent checks the §3.2 definition in the full
-// optimistic-concurrency setting of §4.3: from every state, under *every*
-// adversarial serialization of every round's steals, conservation is
-// reached within finitely many rounds. This is the obligation GreedyBuggy
-// fails: on the 0/1/2 machine the adversary ping-pongs the spare thread
-// between the two non-idle cores forever, and the explorer returns that
-// cycle as the witness.
-func CheckWorkConservationConcurrent(ctx context.Context, f Factory, u statespace.Universe) Result {
-	return runObligation(ctx, ObWorkConservConc, f, u, 0)
-}
-
-// CheckReactivity checks the third performance property the paper's
+// checkReactivityShard checks the third performance property the paper's
 // introduction lists as unproven in real systems: reactivity, "a bound
 // on the delay to schedule ready threads". Formalized per core: for
 // every state, every core idle in it, and every adversarial schedule,
@@ -280,10 +265,6 @@ func CheckWorkConservationConcurrent(ctx context.Context, f Factory, u statespac
 // cores to take from) within a bounded number of rounds. The result's
 // Bound is that worst-case delay in rounds — the paper's missing
 // latency limit, made concrete over the bounded universe.
-func CheckReactivity(ctx context.Context, f Factory, u statespace.Universe) Result {
-	return runObligation(ctx, ObReactivity, f, u, 0)
-}
-
 func checkReactivityShard(ctx context.Context, f Factory, u statespace.Universe, sh shard) Result {
 	res := Result{ID: ObReactivity, Passed: true}
 	sh.enumerate(u, func(rank int, m *sched.Machine) bool {
@@ -319,15 +300,4 @@ func checkReactivityShard(ctx context.Context, f Factory, u statespace.Universe,
 		return true
 	})
 	return res
-}
-
-// CheckChoiceIndependence checks the paper's central structural claim
-// (§3.1): "the exact choice of the core does not matter for the
-// correctness proof". The adversary controls the step-2 choice (any
-// filter-passing candidate) *and* the steal order; a policy passes iff
-// work conservation survives every combination. A policy whose proofs
-// secretly rely on its Choose heuristic fails here even if it passes
-// CheckWorkConservationConcurrent.
-func CheckChoiceIndependence(ctx context.Context, f Factory, u statespace.Universe) Result {
-	return runObligation(ctx, ObChoiceIndependence, f, u, 0)
 }

@@ -43,24 +43,10 @@ import (
 
 // Core model types (see internal/sched).
 type (
-	// Task is a schedulable entity with an identity and load weight.
-	Task = sched.Task
-	// Core is one CPU's scheduling state: current task plus runqueue.
-	Core = sched.Core
-	// Machine is the global state: one Core per CPU.
-	Machine = sched.Machine
 	// Policy is the paper's three-step policy abstraction.
 	Policy = sched.Policy
 	// FuncPolicy assembles a Policy from closures.
 	FuncPolicy = sched.FuncPolicy
-	// RoundResult reports one balancing round's attempts.
-	RoundResult = sched.RoundResult
-	// Attempt is one core's participation in a round.
-	Attempt = sched.Attempt
-	// Rescuer is the optional Policy extension that re-homes tasks
-	// orphaned by fail-stop core faults (see FaultEvent, WithFaults and
-	// the DSL's rescue clause).
-	Rescuer = sched.Rescuer
 )
 
 // Verification types (see internal/verify).
@@ -71,8 +57,6 @@ type (
 	ObligationID = verify.ObligationID
 	// Universe bounds the state space the checker quantifies over.
 	Universe = statespace.Universe
-	// VerifyConfig parameterizes a verification run.
-	VerifyConfig = verify.Config
 )
 
 // Topology types (see internal/topology).
@@ -83,8 +67,6 @@ type (
 
 // Machine construction.
 var (
-	// NewMachine returns n empty cores.
-	NewMachine = sched.NewMachine
 	// MachineFromLoads builds a machine from per-core thread counts.
 	MachineFromLoads = sched.MachineFromLoads
 )
@@ -108,15 +90,8 @@ var (
 var (
 	// NewDelta2 is Listing 1's simple balancer (proved work-conserving).
 	NewDelta2 = policy.NewDelta2
-	// NewWeighted is the niceness-weighted balancer (proved).
-	NewWeighted = policy.NewWeighted
 	// NewGreedyBuggy is the §4.3 counterexample (refuted: livelock).
 	NewGreedyBuggy = policy.NewGreedyBuggy
-	// NewCFSGroupBuggy models the Lozi et al. group-imbalance bug
-	// (refuted: fails Lemma 1).
-	NewCFSGroupBuggy = policy.NewCFSGroupBuggy
-	// NewHierarchical is the §5 two-level balancer (proved).
-	NewHierarchical = policy.NewHierarchical
 	// NewNUMAAware is Delta2 with a locality-preferring choice step.
 	NewNUMAAware = policy.NewNUMAAware
 	// NewPolicy looks up a built-in policy by name.
@@ -129,52 +104,21 @@ var (
 	// PolicySpecs lists the built-in policies with their registry
 	// metadata (provenance, topology needs, one-line docs), sorted.
 	PolicySpecs = policy.Specs
-	// LookupPolicy returns the registry metadata for one policy name.
-	LookupPolicy = policy.Lookup
-	// RegisterPolicy adds a policy spec to the global registry, making it
-	// available to WithPolicy and the command-line tools.
-	RegisterPolicy = policy.Register
 )
 
 // Policy-registry metadata types (see internal/policy).
 type (
 	// PolicySpec is one registry entry: constructor plus metadata.
 	PolicySpec = policy.Spec
-	// PolicyFactory constructs a fresh policy instance per call.
-	PolicyFactory = policy.Factory
-	// Provenance classifies a registered policy's verification status.
-	Provenance = policy.Provenance
 )
 
 // Topologies.
 var (
-	// FlatTopology is a single-node machine.
-	FlatTopology = topology.Flat
 	// NUMATopology builds nodes × perNode cores.
 	NUMATopology = topology.NUMA
 	// AssignGroups stamps a machine's cores with the topology's node
 	// assignment (Group and Node per core).
 	AssignGroups = policy.AssignGroups
-)
-
-// Verification entry points.
-var (
-	// Verify checks a policy against every proof obligation over the
-	// default bounded universe.
-	//
-	// Deprecated: build a Cluster with WithPolicyFactory and call
-	// Cluster.Verify(ctx) — it is context-cancellable and runs the
-	// obligations in parallel.
-	Verify = func(name string, factory func() Policy) *Report {
-		return verify.Policy(name, factory, verify.Config{})
-	}
-	// VerifyWith checks with an explicit configuration.
-	//
-	// Deprecated: build a Cluster with WithUniverse/WithObligations and
-	// call Cluster.Verify(ctx).
-	VerifyWith = verify.Policy
-	// DefaultUniverse is the verifier's default bounded state space.
-	DefaultUniverse = verify.DefaultUniverse
 )
 
 // DSL entry points.

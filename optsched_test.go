@@ -1,6 +1,7 @@
 package optsched
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -20,12 +21,22 @@ func TestFacadeModelRoundTrip(t *testing.T) {
 }
 
 func TestFacadeVerify(t *testing.T) {
-	rep := Verify("delta2", func() Policy { return NewDelta2() })
-	if !rep.Passed() {
+	verify := func(name string, factory func() Policy) *Report {
+		t.Helper()
+		c, err := New(WithPolicyFactory(name, factory))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := c.Verify(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	if rep := verify("delta2", func() Policy { return NewDelta2() }); !rep.Passed() {
 		t.Fatalf("delta2 verification failed:\n%s", rep)
 	}
-	repBad := Verify("greedy-buggy", func() Policy { return NewGreedyBuggy() })
-	if repBad.Passed() {
+	if repBad := verify("greedy-buggy", func() Policy { return NewGreedyBuggy() }); repBad.Passed() {
 		t.Fatal("greedy verification should fail")
 	}
 }
